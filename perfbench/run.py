@@ -30,9 +30,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT_DIR = ROOT / ".perfbench"
-#: Set-up is timed this many times per run (once in this process, the
-#: rest in fresh interpreters) and reported as the median.
-SETUP_SAMPLES = 5
+#: Fresh-interpreter set-up probes per run: half before the timed
+#: phase, half after it. With the set-up in this process they give the
+#: samples whose minimum is ``setup_s``.
+SETUP_PROBES = 6
 #: BLAS threads: pinned to one, so a run's CPU time matches its wall.
 BLAS_THREADS = "1"
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -145,12 +146,16 @@ def run(args) -> tuple:
         rec.write(OUT_DIR / f"{args.workload}-seed{args.seed}-spans.json")
         names = PER_LAYER
     else:
-        samples = [setup_sample(args) for _ in range(SETUP_SAMPLES - 1)]
+        # Set-up is fixed, deterministic work that a slow spell of the host
+        # can only lengthen, so the fastest sample is the estimate; the
+        # samples straddle the timed phase so no one spell covers them all.
+        samples = [setup_sample(args) for _ in range(SETUP_PROBES // 2)]
         start = time.perf_counter()
         inputs = workload.setup(args.seed, args.seconds)
         samples.append(time.perf_counter() - start)
         outcome = workload.run_timed(inputs, args.seed, args.seconds)
-        outcome.metrics["setup_s"] = statistics.median(samples)
+        samples += [setup_sample(args) for _ in range(SETUP_PROBES - SETUP_PROBES // 2)]
+        outcome.metrics["setup_s"] = min(samples)
         outcome.details["setup_samples_s"] = samples
         names = END_TO_END
     missing = sorted(set(names) - set(outcome.metrics))

@@ -133,7 +133,7 @@ def test_degenerate_scenario_fails_the_run():
         num_topologies=1,
         seed=1,
     )
-    workload = SweepWorkload("degenerate", lambda seed, seconds: [plan], spot_check=False)
+    workload = SweepWorkload("degenerate", lambda seed, seconds: [plan])
     outcome = workload.run_timed([plan], seed=1, seconds=1)
     assert outcome.checks["hit_ratio_not_degenerate"] is False
     assert not outcome.correct and outcome.failed >= 1
