@@ -32,8 +32,8 @@ SRC = ROOT / "src"
 OUT_DIR = ROOT / ".perfbench"
 #: Fresh-interpreter set-up probes per run: half before the timed
 #: phase, half after it. With the set-up in this process they give the
-#: samples whose minimum is ``setup_s``.
-SETUP_PROBES = 6
+#: samples whose median is ``setup_s``.
+SETUP_PROBES = 4
 #: BLAS threads: pinned to one, so a run's CPU time matches its wall.
 BLAS_THREADS = "1"
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -77,22 +77,6 @@ def git_sha() -> str:
     return completed.stdout.strip() if completed.returncode == 0 else "unknown"
 
 
-def host_reference_ms() -> float:
-    """Median time of a fixed pure-Python loop: the host's speed now.
-
-    Recorded next to the metrics (never folded into them) so a reader
-    can tell a slow host from a slow program.
-    """
-    times = []
-    for _ in range(5):
-        start = time.perf_counter()
-        total = 0
-        for value in range(200_000):
-            total += value * value
-        times.append(time.perf_counter() - start)
-    return statistics.median(times) * 1e3
-
-
 def provenance(args) -> dict:
     """Which code, machine and settings produced this run."""
     import numpy
@@ -116,8 +100,20 @@ def provenance(args) -> dict:
     }
 
 
+def timed_setup(workload, args) -> tuple:
+    """The workload's inputs, and its set-up time at the reference speed
+    (the calibration kernel runs right after the set-up)."""
+    from perfbench.metrics import at_reference_s, settled_calibration_s
+
+    start = time.perf_counter()
+    inputs = workload.setup(args.seed, args.seconds)
+    elapsed = time.perf_counter() - start
+    return inputs, at_reference_s(elapsed, settled_calibration_s())
+
+
 def setup_sample(args) -> float:
-    """Set-up seconds of one fresh interpreter (a probe subprocess)."""
+    """Reference set-up seconds of one fresh interpreter (a probe
+    subprocess)."""
     command = [
         sys.executable,
         str(Path(__file__).resolve()),
@@ -139,23 +135,20 @@ def run(args) -> tuple:
     from perfbench.workloads import WORKLOADS
 
     workload = WORKLOADS[args.workload]
-    host_before = host_reference_ms()
     if args.trace:
         rec = SpanRecorder()
         outcome = workload.run_traced(args.seed, args.seconds, rec)
         rec.write(OUT_DIR / f"{args.workload}-seed{args.seed}-spans.json")
         names = PER_LAYER
     else:
-        # Set-up is fixed, deterministic work that a slow spell of the host
-        # can only lengthen, so the fastest sample is the estimate; the
-        # samples straddle the timed phase so no one spell covers them all.
+        # The samples straddle the timed phase so no one slow spell of the
+        # host covers them all; each is scaled to the reference speed.
         samples = [setup_sample(args) for _ in range(SETUP_PROBES // 2)]
-        start = time.perf_counter()
-        inputs = workload.setup(args.seed, args.seconds)
-        samples.append(time.perf_counter() - start)
+        inputs, sample = timed_setup(workload, args)
+        samples.append(sample)
         outcome = workload.run_timed(inputs, args.seed, args.seconds)
         samples += [setup_sample(args) for _ in range(SETUP_PROBES - SETUP_PROBES // 2)]
-        outcome.metrics["setup_s"] = min(samples)
+        outcome.metrics["setup_s"] = statistics.median(samples)
         outcome.details["setup_samples_s"] = samples
         names = END_TO_END
     missing = sorted(set(names) - set(outcome.metrics))
@@ -167,7 +160,6 @@ def run(args) -> tuple:
     }
     record = {
         **provenance(args),
-        "host_reference_ms": [host_before, host_reference_ms()],
         "checks": outcome.checks,
         "errors": outcome.errors,
         "details": outcome.details,
@@ -201,9 +193,8 @@ def main(argv=None) -> int:
         )
         return 2
     if args.setup_probe:
-        start = time.perf_counter()
-        WORKLOADS[args.workload].setup(args.seed, args.seconds)
-        print(json.dumps({"setup_s": time.perf_counter() - start}))
+        _, sample = timed_setup(WORKLOADS[args.workload], args)
+        print(json.dumps({"setup_s": sample}))
         return 0
     try:
         result, record = run(args)

@@ -18,7 +18,8 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-from perfbench.metrics import END_TO_END, PER_LAYER, robust_wall, tail  # noqa: E402
+from perfbench import metrics  # noqa: E402
+from perfbench.metrics import END_TO_END, PER_LAYER, CalibratedClock, tail  # noqa: E402
 from perfbench.spans import SpanRecorder  # noqa: E402
 from perfbench.workloads import (  # noqa: E402
     WORKLOADS,
@@ -89,7 +90,7 @@ def test_traced_replay_folds_to_run_plan_series():
 
 def test_timed_backend_keeps_serial_series_and_times_each_cell():
     plan = experiments.fig5a_plan(num_topologies=2, capacities_gb=(0.5,), seed=4)
-    backend = TimedBackend()
+    backend = TimedBackend(CalibratedClock())
     timed = run_plan(plan, backend=backend)
     assert series_payload(timed.series) == series_payload(run_plan(plan).series)
     assert len(backend.seconds) == len(backend.outcomes) == 2
@@ -160,6 +161,16 @@ def test_tail_needs_ten_samples_beyond():
     assert tail(values[:19]) == (None, None, 0)
 
 
-def test_robust_wall_ignores_one_slow_pass():
-    per_op = [[1.0, 1.0, 3.0], [2.0, 5.0, 2.0]]
-    assert robust_wall(per_op, [0.1, 0.9, 0.1]) == 3.1
+def test_calibrated_clock_scales_each_segment_by_its_calibrations(monkeypatch):
+    # The first reading warms the kernel and is dropped; each segment is
+    # scaled by the mean of the calibrations on either side of it.
+    readings = iter([9.0, 0.01, 0.03, 0.02])
+    monkeypatch.setattr(metrics, "calibration_s", lambda: next(readings))
+    clock = CalibratedClock()
+    clock.lap()
+    clock.lap()
+    clock.work = [1.0, 2.0]
+    assert clock.calibrations == [0.01, 0.03, 0.02]
+    assert clock.wall_s() == 3.0
+    reference = metrics.REFERENCE_CALIBRATION_S
+    assert clock.reference_s() == 1.0 * reference / 0.02 + 2.0 * reference / 0.025

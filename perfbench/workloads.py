@@ -2,10 +2,10 @@
 
 Every workload runs a fixed, seeded list of ops to completion — never a
 time box — so two runs with one seed do identical work. The timed run of
-a sweep makes one pass over that list; ``serve`` makes several and
-takes, per request, the median of its passes (see
-:func:`perfbench.metrics.robust_wall`). The traced run replays the list
-once through the layers' public functions, one span per call.
+a sweep makes one pass over that list, ``serve`` a few; a
+:class:`~perfbench.metrics.CalibratedClock` times them, so throughput is
+reported at a fixed reference host speed. The traced run replays the
+list once through the layers' public functions, one span per call.
 
 ``repro`` and ``numpy`` are imported inside the functions, never at
 module level: ``setup_s`` is timed from just before the first import.
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from perfbench.metrics import PER_LAYER, robust_wall, tail
+from perfbench.metrics import PER_LAYER, CalibratedClock, tail
 from perfbench.spans import SpanRecorder
 
 #: ``serve``: passes over the request list in one timed run.
@@ -46,6 +46,8 @@ ROUTES_PER_EVENT = 200
 #: ``serve``: events per second of ``--seconds``, shared out over the
 #: passes and deployments; from-scratch checks per deployment.
 SERVE_EVENTS_PER_S = 50
+#: ``serve``: events (each with its route reads) per calibrated segment.
+SERVE_LAP_EVENTS = 8
 SERVE_CHECKPOINTS = 8
 #: Deployments (seeded scenario + service + trace) one serve run cycles
 #: through, and the length of the golden seed-0 trace.
@@ -150,12 +152,14 @@ class TimedBackend:
     """The serial execution order, plus each task's wall time and outcome.
 
     An :class:`~repro.exec.backends.ExecutionBackend`: ``run_plan``
-    hands it one task per grid cell, in grid order.
+    hands it one task per grid cell, in grid order; each task ends a
+    segment of ``clock``.
     """
 
     name = "serial"
 
-    def __init__(self) -> None:
+    def __init__(self, clock: CalibratedClock) -> None:
+        self.clock = clock
         self.seconds: List[float] = []
         self.outcomes: List[Any] = []
 
@@ -165,6 +169,7 @@ class TimedBackend:
             outcome = fn(payload)
             self.seconds.append(time.perf_counter() - start)
             self.outcomes.append(outcome)
+            self.clock.lap()
             yield outcome
 
 
@@ -174,14 +179,16 @@ def cell_scores(outcome) -> Dict[str, str]:
     return {label: float(score).hex() for label, (score, _) in per_algo.items()}
 
 
-def replay_sweep(plan, rec: SpanRecorder, first_cell_only: bool = False):
+def replay_sweep(plan, rec: SpanRecorder, first_cell_only: bool = False,
+                 probes: bool = True):
     """Run a sweep plan's grid cell by cell through the layers' functions.
 
     Replays the seed derivation and loop order of ``run_plan`` (library
     per point, scenario per cell, each solver then its evaluation) with
     a span around every layer call. Returns ``(series, cells, health)``:
     the folded ``{label: SeriesStats}``, ``{label: score.hex()}`` per
-    cell, and the lowest reachable-demand share seen.
+    cell, and the lowest reachable-demand share seen (1.0 without
+    ``probes``, which skip the second feasibility build and the counts).
     """
     from repro.api.plan import resolve_axis
     from repro.api.registry import SOLVERS
@@ -214,18 +221,19 @@ def replay_sweep(plan, rec: SpanRecorder, first_cell_only: bool = False):
                     config, seed, library=library, feasibility=plan.feasibility
                 )
             rec.counts.setdefault("sim.build_scenario.rss_mb", peak_rss_mb())
-            with rec.span("network.feasibility", probe=True):
-                if config.chunk_size is not None:
-                    scenario.latency_model.feasibility_sparse_chunked(
-                        config.chunk_size
-                    )
-                else:
-                    scenario.latency_model.feasibility_sparse()
-            with rec.span("core.sparse.count", probe=True):
-                nnz, zero, reachable = sparse_health(scenario.instance)
-            rec.count("core.sparse.nnz", nnz)
-            rec.count("core.sparse.nnz_zero_demand", zero)
-            lowest_reachable = min(lowest_reachable, reachable)
+            if probes:
+                with rec.span("network.feasibility", probe=True):
+                    if config.chunk_size is not None:
+                        scenario.latency_model.feasibility_sparse_chunked(
+                            config.chunk_size
+                        )
+                    else:
+                        scenario.latency_model.feasibility_sparse()
+                with rec.span("core.sparse.count", probe=True):
+                    nnz, zero, reachable = sparse_health(scenario.instance)
+                rec.count("core.sparse.nnz", nnz)
+                rec.count("core.sparse.nnz_zero_demand", zero)
+                lowest_reachable = min(lowest_reachable, reachable)
             scores: Dict[str, str] = {}
             for label, solver in algorithms.items():
                 kind = kinds[label]
@@ -264,10 +272,10 @@ class SweepWorkload:
     """Sweep plans run through ``run_plan``; an op is one grid cell.
 
     ``make_plans(seed, seconds)`` gives plans of one grid shape, each
-    with its own root seed, run once in order. ``ops_per_s`` is every
-    cell of every plan over the wall time of that whole pass, so each
-    costly library or topology counts in full; the many plans average
-    out both the cost of single inputs and short slow spells of the host.
+    with its own root seed, run once in order. ``ops_per_ref_s`` is every
+    cell of every plan over the reference time of that whole pass, so
+    each costly library or topology counts in full; each cell is its own
+    calibrated segment.
     """
 
     name: str
@@ -290,9 +298,9 @@ class SweepWorkload:
         cell_seconds: List[float] = []
         scores: List[Dict[str, str]] = []
         gc.collect()
-        start = time.perf_counter()
+        clock = CalibratedClock()
         for plan in plans:
-            backend = TimedBackend()
+            backend = TimedBackend(clock)
             try:
                 series.append(run_plan(plan, backend=backend).series)
             except Exception as exc:  # a failing plan is counted, not fatal
@@ -300,7 +308,7 @@ class SweepWorkload:
                 outcome.errors.append(repr(exc))
             cell_seconds.extend(backend.seconds)
             scores.extend(cell_scores(o) for o in backend.outcomes)
-        wall = time.perf_counter() - start
+        clock.lap()
         peak = peak_rss_mb()
         if len(series) != len(plans):
             return outcome
@@ -315,7 +323,7 @@ class SweepWorkload:
             outcome.check("first_cell_replays", replayed[0] == scores[0], 1)
             outcome.check("demand_reachable", reachable > 0.0, cells)
         outcome.metrics.update(
-            ops_per_s=cells / wall,
+            ops_per_ref_s=cells / clock.reference_s(),
             hit_ratio=outcome.details["mean_hit_ratio"],
         )
         value, q, beyond = tail(cell_seconds)
@@ -324,7 +332,9 @@ class SweepWorkload:
             peak_rss_mb=peak,
             plans=len(plans),
             ops=cells,
-            wall_s=wall,
+            wall_s=clock.wall_s(),
+            ops_per_s=cells / clock.wall_s(),
+            calibrations_s=clock.calibrations,
             cell_seconds=cell_seconds,
             op_tail_ms=value * 1e3 if value is not None else None,
             op_tail_percentile=q,
@@ -368,7 +378,8 @@ class SweepWorkload:
     def golden(self) -> str:
         """Digest of the seed-0 first cell, replayed through the layers."""
         plan = self.make_plans(DIGEST_SEED, DIGEST_SECONDS)[0]
-        _, cells, _ = replay_sweep(plan, SpanRecorder(), first_cell_only=True)
+        _, cells, _ = replay_sweep(plan, SpanRecorder(), first_cell_only=True,
+                                   probes=False)
         return digest(cells[0])
 
     def _check_outputs(self, outcome, series, seed, seconds, cells) -> None:
@@ -410,11 +421,11 @@ def plans_for(seconds: int, plan_s: float, load: float = 1.0) -> int:
 def _fig4a_plans(seed: int, seconds: int) -> List[Any]:
     from repro.sim import experiments
 
-    # Spec's cost swings from library to library, so this workload gets
-    # half again as long as the others to average over more plans.
+    # Spec's cost swings from library to library (about 13% per plan), so
+    # this workload plans for 1.8 times ``--seconds`` to average over more.
     return [
         experiments.fig4a_plan(num_topologies=1, seed=plan_seed)
-        for plan_seed in plan_seeds(seed, plans_for(seconds, 5 * 0.7, load=1.5))
+        for plan_seed in plan_seeds(seed, plans_for(seconds, 5 * 0.7, load=1.8))
     ]
 
 
@@ -433,6 +444,8 @@ def _scale_plans(seed: int, seconds: int) -> List[Any]:
     from repro.sim.config import ScenarioConfig
 
     paper = ScenarioConfig()
+    # A plan's cost follows its feasibility density (12% from plan to
+    # plan), so this workload plans for 7/3 of ``--seconds``.
     # Radio resources grow with K so each user's share stays at the
     # paper's K=30 level; unscaled, the feasibility set empties.
     radio = SCALE_USERS / paper.num_users
@@ -455,7 +468,7 @@ def _scale_plans(seed: int, seconds: int) -> List[Any]:
             num_topologies=1,
             seed=plan_seed,
         )
-        for plan_seed in plan_seeds(seed, plans_for(seconds, 5.0))
+        for plan_seed in plan_seeds(seed, plans_for(seconds, 5.0, load=7 / 3))
     ]
 
 
@@ -525,15 +538,17 @@ class ServePass:
     hit_ratios: List[float]
     answers: List[Optional[int]]
     snapshots: Dict[int, Any]
-    wall: float
 
 
 def serve_pass(service, deployment: Deployment,
-               rec: Optional[SpanRecorder] = None) -> ServePass:
+               rec: Optional[SpanRecorder] = None,
+               clock: Optional[CalibratedClock] = None) -> ServePass:
     """Apply every event, each followed by its route queries.
 
     Untraced (``rec is None``), each request is timed with two clock
     reads; traced, each is a span named after the layer and event mode.
+    With a ``clock``, every ``SERVE_LAP_EVENTS`` events (with their
+    reads) end a calibrated segment.
     """
     perf = time.perf_counter
     latencies: List[float] = []
@@ -544,7 +559,6 @@ def serve_pass(service, deployment: Deployment,
     answers: List[Optional[int]] = []
     snapshots: Dict[int, Any] = {}
     checkpoints = set(deployment.checkpoints)
-    start = perf()
     for index, event in enumerate(deployment.events):
         if rec is None:
             t0 = perf()
@@ -573,8 +587,12 @@ def serve_pass(service, deployment: Deployment,
             latencies.append(elapsed)
             route_latencies.append(elapsed)
             answers.append(answer.server)
+        if clock is not None and (index + 1) % SERVE_LAP_EVENTS == 0:
+            clock.lap()
+    if clock is not None and len(deployment.events) % SERVE_LAP_EVENTS:
+        clock.lap()
     return ServePass(latencies, event_latencies, route_latencies, modes, hits,
-                     answers, snapshots, perf() - start)
+                     answers, snapshots)
 
 
 def serve_payload(run: ServePass, service) -> Dict[str, Any]:
@@ -653,15 +671,18 @@ class ServeWorkload:
         requests = sum(d.requests for d in deployments)
         outcome = Outcome(attempted=requests * REPEATS)
         passes: List[List[Tuple[ServePass, Any]]] = []
+        clocks: List[CalibratedClock] = []
         for index in range(REPEATS):
             # Later passes start from fresh services built outside the
             # timed loop (a service never mutates its scenario).
             services = [d.service if index == 0 else PlacementService(d.scenario)
                         for d in deployments]
             gc.collect()
+            clock = CalibratedClock()
             try:
-                passes.append([(serve_pass(service, d), service)
+                passes.append([(serve_pass(service, d, clock=clock), service)
                                for service, d in zip(services, deployments)])
+                clocks.append(clock)
             except Exception as exc:  # a failing pass is counted, not fatal
                 outcome.failed += requests
                 outcome.errors.append(repr(exc))
@@ -682,10 +703,9 @@ class ServeWorkload:
         latencies = np.array([[t for run, _ in one for t in run.latencies]
                               for one in passes])
         per_request = np.median(latencies, axis=0)
-        overheads = [sum(run.wall - sum(run.latencies) for run, _ in one)
-                     for one in passes]
+        served = requests * len(passes)
         outcome.metrics.update(
-            ops_per_s=requests / robust_wall(latencies.T.tolist(), overheads),
+            ops_per_ref_s=served / sum(clock.reference_s() for clock in clocks),
             hit_ratio=outcome.details["mean_hit_ratio"],
         )
         value, q, beyond = tail(per_request.tolist())
@@ -696,7 +716,9 @@ class ServeWorkload:
             deployments=len(deployments),
             ops_per_pass=requests,
             passes=len(passes),
-            pass_walls_s=[sum(run.wall for run, _ in one) for one in passes],
+            pass_walls_s=[clock.wall_s() for clock in clocks],
+            ops_per_s=served / sum(clock.wall_s() for clock in clocks),
+            calibrations_s=[clock.calibrations for clock in clocks],
             op_tail_ms=value * 1e3 if value is not None else None,
             op_tail_percentile=q,
             op_tail_beyond=beyond,
