@@ -22,17 +22,17 @@ Four interchangeable knapsack backends are provided:
 
 :class:`ValueDpTables` memoises the capacity-independent part of the
 rounded DP so a Spec solve that re-poses the same filtered sub-instance
-across combinations and servers pays for the table fill once.
+across combinations and servers pays for the table fill once, and each
+table memoises its backtrack per best state.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import weakref
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -107,12 +107,40 @@ def _chains_are_nested(chain: Sequence[FrozenSet[int]]) -> bool:
     return True
 
 
+class SharedCombinations(list):
+    """The combination set ``A``: a list of :class:`SharedCombination`
+    that also carries its dense form.
+
+    Attributes
+    ----------
+    block_ids:
+        The library's shared block ids in ascending order — the columns
+        of ``mask``.
+    mask:
+        ``(|A|, B_shared)`` bool: row ``n`` marks the blocks of ``A[n]``.
+    sizes:
+        ``(|A|,)`` int64: ``d_N`` per combination (``A[n].size_bytes``).
+    """
+
+    def __init__(
+        self,
+        combos: Sequence[SharedCombination],
+        block_ids: Sequence[int],
+        mask: np.ndarray,
+        sizes: np.ndarray,
+    ) -> None:
+        super().__init__(combos)
+        self.block_ids = tuple(block_ids)
+        self.mask = mask
+        self.sizes = sizes
+
+
 #: Per-library memo of enumerated combination sets. Libraries are
 #: logically immutable and compared by identity, so weak keying is exact;
 #: entries vanish with their library. A sweep that shares one library
 #: across topologies (the paper fixes the library) enumerates ``A`` once
 #: instead of once per solve.
-_COMBINATION_CACHE: "weakref.WeakKeyDictionary[ModelLibrary, Dict[Tuple[str, int], List[SharedCombination]]]" = (
+_COMBINATION_CACHE: "weakref.WeakKeyDictionary[ModelLibrary, Dict[Tuple[str, int], SharedCombinations]]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -122,13 +150,16 @@ def enumerate_shared_combinations(
     mode: str = "auto",
     max_combinations: int = 1_000_000,
     cache: bool = True,
-) -> List[SharedCombination]:
+) -> SharedCombinations:
     """Build the combination set ``A`` for Algorithm 2.
 
     With ``cache=True`` (default) the result is memoised per library
     object (treat it as immutable — every built-in path does); pass
     ``cache=False`` to force a fresh enumeration, e.g. for benchmarking
     the pre-cache pipeline.
+
+    Sizes come from one integer matmul of the combination mask with the
+    shared block sizes, so ``d_N`` is the exact integer block-size sum.
 
     Modes
     -----
@@ -164,11 +195,23 @@ def enumerate_shared_combinations(
             per_library[key] = cached
         return cached
     shared = sorted(library.shared_block_ids)
-    if not shared:
-        return [SharedCombination(frozenset(), 0)]
+    column = {block_id: pos for pos, block_id in enumerate(shared)}
+    block_sizes = np.array(
+        [library.block_size(block_id) for block_id in shared], dtype=np.int64
+    )
 
-    def sized(blocks: FrozenSet[int]) -> SharedCombination:
-        return SharedCombination(blocks, library.blocks_size(blocks))
+    def sized(
+        blocks: Sequence[FrozenSet[int]], mask: np.ndarray
+    ) -> SharedCombinations:
+        sizes = mask.astype(np.int64) @ block_sizes
+        combos = [
+            SharedCombination(combo_blocks, size)
+            for combo_blocks, size in zip(blocks, sizes.tolist())
+        ]
+        return SharedCombinations(combos, shared, mask, sizes)
+
+    if not shared:
+        return sized([frozenset()], np.zeros((1, 0), dtype=bool))
 
     if mode in ("auto", "prefix"):
         shared_sets = _distinct_shared_sets(library)
@@ -188,14 +231,24 @@ def enumerate_shared_combinations(
                         f"combination set would exceed {max_combinations} "
                         f"elements; the library is too general for Spec"
                     )
-            combos: List[SharedCombination] = []
             choice_lists = [
                 [frozenset()] + list(chain) for chain in chains
             ]
-            for selection in itertools.product(*choice_lists):
-                blocks = frozenset().union(*selection)
-                combos.append(sized(blocks))
-            return combos
+            blocks = [
+                frozenset().union(*selection)
+                for selection in itertools.product(*choice_lists)
+            ]
+            # np.indices is C-ordered (last axis fastest) — exactly the
+            # itertools.product order of ``blocks``.
+            choice = np.indices([len(choices) for choices in choice_lists])
+            choice = choice.reshape(len(chains), -1)
+            mask = np.zeros((count, len(shared)), dtype=bool)
+            for chain_pos, choices in enumerate(choice_lists):
+                level_mask = np.zeros((len(choices), len(shared)), dtype=bool)
+                for level, members in enumerate(choices):
+                    level_mask[level, [column[b] for b in members]] = True
+                mask |= level_mask[choice[chain_pos]]
+            return sized(blocks, mask)
 
     count = 2 ** len(shared)
     if count > max_combinations:
@@ -203,11 +256,13 @@ def enumerate_shared_combinations(
             f"2^{len(shared)} shared-block subsets exceed {max_combinations}; "
             "the library is too general for exhaustive enumeration"
         )
-    combos = []
+    mask = np.zeros((count, len(shared)), dtype=bool)
+    blocks = []
     for r in range(len(shared) + 1):
-        for subset in itertools.combinations(shared, r):
-            combos.append(sized(frozenset(subset)))
-    return combos
+        for subset in itertools.combinations(range(len(shared)), r):
+            mask[len(blocks), list(subset)] = True
+            blocks.append(frozenset(shared[pos] for pos in subset))
+    return sized(blocks, mask)
 
 
 # ----------------------------------------------------------------------
@@ -240,12 +295,10 @@ def knapsack_value_dp(
     rounded value w`` is filled item by item. Guarantees total value at
     least ``(1 - ε)`` of the optimum.
 
-    Each item's state sweep is one numpy slice-shift update (the shifted
-    candidate row is materialised before the masked write, which gives
-    exactly the 0/1 semantics of the seed's descending Python loop), and
-    instead of a dense ``(items × states)`` take matrix the backtrack
-    uses a compact per-item record of the improved state indices.
-    Selections are bit-identical to the seed implementation (retained as
+    A one-shot :class:`ValueDpTables` solve, so the fill (one boolean
+    "improved" mask per item) and the backtrack over those masks exist
+    once. Values are read as float64; selections and values are then
+    bit-identical to the seed implementation (retained as
     :func:`repro.core.reference.reference_knapsack_value_dp`).
 
     Returns ``(true_value_of_selection, selected_indices)``.
@@ -259,51 +312,7 @@ def knapsack_value_dp(
     _validate_knapsack(values, weights, capacity)
     if epsilon <= 0:
         raise SolverError("knapsack_value_dp requires epsilon > 0")
-    items = [
-        (index, float(values[index]), int(weights[index]))
-        for index in range(len(values))
-        if values[index] > 0 and weights[index] <= capacity
-    ]
-    if not items:
-        return 0.0, []
-    v_min = min(value for _, value, _ in items)
-    unit = epsilon * v_min
-    rounded = [max(1, int(math.floor(value / unit))) for _, value, _ in items]
-    total_rounded = sum(rounded)
-    if (total_rounded + 1) * len(items) > max_states:
-        raise SolverError(
-            f"value DP needs {(total_rounded + 1) * len(items)} states "
-            f"(> {max_states}); increase epsilon or use another backend"
-        )
-
-    min_weight = np.full(total_rounded + 1, np.inf)
-    min_weight[0] = 0.0
-    # Per item: the state indices whose minimal weight this item improved
-    # (all the backtrack needs — the compact form of the take matrix).
-    improved_states: List[np.ndarray] = []
-    reachable = 0
-    for (_, _, weight), value_units in zip(items, rounded):
-        reachable = min(reachable + value_units, total_rounded)
-        shifted = min_weight[: reachable - value_units + 1] + weight
-        segment = min_weight[value_units : reachable + 1]
-        improved = shifted < segment
-        np.copyto(segment, shifted, where=improved)
-        improved_states.append(np.flatnonzero(improved) + value_units)
-
-    best_units = int(np.flatnonzero(min_weight <= capacity)[-1])
-    selected: List[int] = []
-    units = best_units
-    for item_pos in range(len(items) - 1, -1, -1):
-        states = improved_states[item_pos]
-        pos = int(np.searchsorted(states, units))
-        if pos < len(states) and states[pos] == units:
-            selected.append(items[item_pos][0])
-            units -= rounded[item_pos]
-    if units != 0:
-        raise SolverError("value DP backtrack failed (internal error)")
-    selected.reverse()
-    true_value = float(sum(values[index] for index in selected))
-    return true_value, selected
+    return ValueDpTables(epsilon, max_states).solve(values, weights, capacity)
 
 
 def knapsack_weight_dp(
@@ -536,9 +545,54 @@ def knapsack_best_first(
     return best_value, sorted(best_set)
 
 
-#: Sentinel cached for filtered instances whose rounded table overflows
-#: ``max_states`` — repeat calls re-raise without re-deriving the count.
-_TABLE_BLOWN = "blown"
+class _ValueDpTable:
+    """One filled rounded table plus its memoised backtracks.
+
+    ``improved[i][k]`` says whether item ``i`` lowered the minimal weight
+    of state ``k + rounded[i]``. ``suffix_min[u]`` is the smallest
+    minimal weight over states ``>= u`` — non-decreasing, so the best
+    state within a capacity is one binary search.
+    """
+
+    __slots__ = ("values", "rounded", "improved", "suffix_min", "backtracks")
+
+    def __init__(
+        self,
+        values: List[float],
+        rounded: List[int],
+        improved: List[np.ndarray],
+        min_weight: np.ndarray,
+    ) -> None:
+        self.values = values
+        self.rounded = rounded
+        self.improved = improved
+        self.suffix_min = np.minimum.accumulate(min_weight[::-1])[::-1]
+        self.backtracks: Dict[int, Tuple[float, Tuple[int, ...]]] = {}
+
+    def select(self, capacity: int) -> Tuple[float, Tuple[int, ...]]:
+        """``(true_value, filtered positions)`` of the best selection."""
+        # The last state whose minimal weight fits: suffix_min[0] = 0, so
+        # at least state 0 qualifies.
+        best_units = int(np.searchsorted(self.suffix_min, capacity, "right")) - 1
+        memo = self.backtracks.get(best_units)
+        if memo is not None:
+            return memo
+        rounded, improved = self.rounded, self.improved
+        positions: List[int] = []
+        units = best_units
+        for item_pos in range(len(rounded) - 1, -1, -1):
+            state = units - rounded[item_pos]
+            mask = improved[item_pos]
+            if 0 <= state < len(mask) and mask[state]:
+                positions.append(item_pos)
+                units -= rounded[item_pos]
+        if units != 0:
+            raise SolverError("value DP backtrack failed (internal error)")
+        positions.reverse()
+        true_value = float(sum(self.values[position] for position in positions))
+        memo = (true_value, tuple(positions))
+        self.backtracks[best_units] = memo
+        return memo
 
 
 class ValueDpTables:
@@ -551,12 +605,19 @@ class ValueDpTables:
     the same filtered sub-instance recurs across combinations and
     servers (utilities only change for models whose demand an earlier
     placement already served), so keying the fill on the filtered
-    ``(values, weights)`` bytes turns repeat calls into a backtrack.
+    ``(values, weights)`` bytes turns repeat calls into a lookup.
 
-    :meth:`solve` replicates ``knapsack_value_dp``'s arithmetic exactly —
-    same rounding, same slice-shift fill, same backtrack, same
-    ``true_value`` accumulation order — so selections are byte-identical
-    (asserted by the equivalence tests).
+    The fill is one numpy slice-shift update per item (the shifted
+    candidate row is materialised before the masked write, which gives
+    exactly the 0/1 semantics of the seed's descending Python loop); each
+    item keeps its boolean ``improved`` mask instead of a dense
+    ``(items × states)`` take matrix. The backtrack tests those masks
+    directly and is memoised per ``(table, best state)``, so a repeated
+    capacity — common, since a capacity is a server's storage minus a
+    combination's shared size — costs one binary search. The selected
+    value is summed from the same floats in the same order either way,
+    so selections and values are byte-identical to the seed
+    implementation (asserted by the equivalence tests).
     """
 
     def __init__(
@@ -572,35 +633,36 @@ class ValueDpTables:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        self._tables: Dict[Tuple[bytes, bytes], tuple] = {}
+        # Each entry is a filled table, or the error message of a table
+        # past ``max_states`` (repeat calls re-raise without re-deriving).
+        self._tables: Dict[Tuple[bytes, bytes], Union[_ValueDpTable, str]] = {}
 
     # ------------------------------------------------------------------
     def _fill(self, filtered_values: np.ndarray, filtered_weights: np.ndarray):
-        """The capacity-independent part of ``knapsack_value_dp``."""
+        """The capacity-independent part of ``knapsack_value_dp``: the
+        filled table, or the error message of a table past ``max_states``."""
         count = filtered_values.shape[0]
         v_min = float(filtered_values.min())
         unit = self.epsilon * v_min
         ratio = np.floor(filtered_values / unit)
         # Beyond 2**53 the float ratios stop being the exact floors the
         # seed's integer arithmetic produces — but any such instance is
-        # astronomically past max_states, so the blown marker is exact.
+        # astronomically past max_states, so the blown message is exact.
         if not np.all(np.isfinite(ratio)) or float(ratio.max()) >= 2.0**53:
             return (
-                _TABLE_BLOWN,
                 f"value DP needs more than {self.max_states} states; "
-                "increase epsilon or use another backend",
+                "increase epsilon or use another backend"
             )
         rounded = np.maximum(ratio, 1.0).astype(np.int64).tolist()
         total_rounded = sum(rounded)
         if (total_rounded + 1) * count > self.max_states:
             return (
-                _TABLE_BLOWN,
                 f"value DP needs {(total_rounded + 1) * count} states "
-                f"(> {self.max_states}); increase epsilon or use another backend",
+                f"(> {self.max_states}); increase epsilon or use another backend"
             )
         min_weight = np.full(total_rounded + 1, np.inf)
         min_weight[0] = 0.0
-        improved_states: List[np.ndarray] = []
+        improved_masks: List[np.ndarray] = []
         reachable = 0
         for weight, value_units in zip(filtered_weights.tolist(), rounded):
             reachable = min(reachable + value_units, total_rounded)
@@ -608,8 +670,10 @@ class ValueDpTables:
             segment = min_weight[value_units : reachable + 1]
             improved = shifted < segment
             np.copyto(segment, shifted, where=improved)
-            improved_states.append(np.flatnonzero(improved) + value_units)
-        return (min_weight, improved_states, rounded)
+            improved_masks.append(improved)
+        return _ValueDpTable(
+            filtered_values.tolist(), rounded, improved_masks, min_weight
+        )
 
     # ------------------------------------------------------------------
     def solve(
@@ -638,33 +702,18 @@ class ValueDpTables:
         filtered_values = np.ascontiguousarray(all_values[keep])
         filtered_weights = np.ascontiguousarray(all_weights[keep])
         key = (filtered_values.tobytes(), filtered_weights.tobytes())
-        entry = self._tables.get(key)
-        if entry is None:
+        table = self._tables.get(key)
+        if table is None:
             self.misses += 1
-            entry = self._fill(filtered_values, filtered_weights)
+            table = self._fill(filtered_values, filtered_weights)
             if len(self._tables) < self.max_entries:
-                self._tables[key] = entry
+                self._tables[key] = table
         else:
             self.hits += 1
-        if entry[0] is _TABLE_BLOWN:
-            raise SolverError(entry[1])
-        min_weight, improved_states, rounded = entry
-
-        best_units = int(np.flatnonzero(min_weight <= capacity)[-1])
-        selected_positions: List[int] = []
-        units = best_units
-        for item_pos in range(len(rounded) - 1, -1, -1):
-            states = improved_states[item_pos]
-            pos = int(np.searchsorted(states, units))
-            if pos < len(states) and states[pos] == units:
-                selected_positions.append(item_pos)
-                units -= rounded[item_pos]
-        if units != 0:
-            raise SolverError("value DP backtrack failed (internal error)")
-        selected_positions.reverse()
-        selected = [int(original[position]) for position in selected_positions]
-        true_value = float(sum(all_values[index] for index in selected))
-        return true_value, selected
+        if isinstance(table, str):
+            raise SolverError(table)
+        true_value, positions = table.select(capacity)
+        return true_value, [int(original[position]) for position in positions]
 
 
 #: Backend registry used by the Spec solver.

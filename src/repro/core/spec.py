@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.core.dp import (
     KNAPSACK_BACKENDS,
-    SharedCombination,
+    SharedCombinations,
     ValueDpTables,
     enumerate_shared_combinations,
 )
@@ -59,7 +59,9 @@ class _SubproblemContext:
     block set, its specific-block weight and — per combination — the
     eligible model list via Python subset checks (``O(M · |A| · I)`` set
     walks overall). All of that is server-independent, so it is built
-    once per solve here, with eligibility as a dense ``(|A|, I)`` matrix.
+    once per solve here, with eligibility as a dense ``(|A|, I)`` matrix
+    derived from the combination set's own ``(|A|, B_shared)`` block
+    mask and sizes (:class:`~repro.core.dp.SharedCombinations`).
     """
 
     #: Combination chunk size for the eligibility matmul (bounds the
@@ -67,17 +69,12 @@ class _SubproblemContext:
     CHUNK = 4096
 
     def __init__(
-        self, instance: PlacementInstance, combos: Sequence[SharedCombination]
+        self, instance: PlacementInstance, combos: SharedCombinations
     ) -> None:
         index = instance.block_index
-        shared_ids = sorted(instance.library.shared_block_ids)
-        shared_pos = {block_id: pos for pos, block_id in enumerate(shared_ids)}
-        num_shared = len(shared_ids)
-
-        # (I, B_shared) bool: each model's shared blocks.
-        shared_cols = (
-            [index.block_pos[b] for b in shared_ids] if shared_ids else []
-        )
+        # (I, B_shared) bool: each model's shared blocks, in the
+        # combination mask's column order.
+        shared_cols = [index.block_pos[b] for b in combos.block_ids]
         shared_member = index.member[:, shared_cols]
         shared_sizes = index.sizes[shared_cols]
         #: ``D_N(i) = D_i - d_{N,i}`` — the specific-block footprint,
@@ -86,13 +83,7 @@ class _SubproblemContext:
         self.specific_weight = index.model_sizes - shared_member @ shared_sizes
 
         #: ``d_N`` per combination.
-        self.combo_sizes = np.array(
-            [combo.size_bytes for combo in combos], dtype=np.int64
-        )
-        combo_mask = np.zeros((len(combos), num_shared), dtype=bool)
-        for row, combo in enumerate(combos):
-            if combo.blocks:
-                combo_mask[row, [shared_pos[b] for b in combo.blocks]] = True
+        self.combo_sizes = combos.sizes
 
         #: ``(|A|, I)`` bool: are ALL of model i's shared blocks in N?
         self.eligible = np.zeros((len(combos), instance.num_models), dtype=bool)
@@ -101,7 +92,7 @@ class _SubproblemContext:
             stop = min(start + self.CHUNK, len(combos))
             # Count of model-shared blocks *missing* from each combo;
             # exact in float32 (counts are far below 2**24).
-            missing = (~combo_mask[start:stop]).astype(np.float32) @ shared_f.T
+            missing = (~combos.mask[start:stop]).astype(np.float32) @ shared_f.T
             self.eligible[start:stop] = missing == 0.0
 
 
@@ -236,7 +227,7 @@ class TrimCachingSpec:
         return servers
 
     def _context_for(
-        self, instance: PlacementInstance, combos: Sequence[SharedCombination]
+        self, instance: PlacementInstance, combos: SharedCombinations
     ) -> _SubproblemContext:
         """The sub-problem context, memoised per library when enabled."""
         if not self.reuse_library_cache:
@@ -294,7 +285,7 @@ class TrimCachingSpec:
         instance: PlacementInstance,
         server: int,
         utilities: np.ndarray,
-        combos: Sequence[SharedCombination],
+        combos: SharedCombinations,
         context: Optional[_SubproblemContext] = None,
         pool: Optional[ThreadPoolExecutor] = None,
         tables: Optional[ValueDpTables] = None,
@@ -342,24 +333,24 @@ class TrimCachingSpec:
         )
         if len(candidate_rows) == 0:
             return 0.0, []
-        # One row-major nonzero pass instead of one flatnonzero per row;
-        # np.nonzero yields each row's columns in ascending order, so the
-        # per-row arrays are exactly the former per-row flatnonzero.
+        # One row-major nonzero pass; np.nonzero yields each row's columns
+        # in ascending order, and row r's columns sit between offsets r
+        # and r + 1. Only the ranks that actually run slice them out.
         candidate_eligible = eligible_pos[candidate_rows]
         nz_rows, nz_cols = np.nonzero(candidate_eligible)
-        eligible_per_row = np.split(
-            nz_cols, np.searchsorted(nz_rows, np.arange(1, len(candidate_rows)))
-        )
-        # Bounds via Python float sums in ascending-index order — the
-        # seed's exact accumulation, so sort order and pruning cannot
-        # drift from it by a rounding ulp (a BLAS matvec here can).
-        bounds = [
-            float(sum(utilities[index] for index in eligible))
-            for eligible in eligible_per_row
-        ]
+        row_offsets = np.searchsorted(
+            nz_rows, np.arange(len(candidate_rows) + 1)
+        ).tolist()
+        # Per-combo bounds: the last column of a row cumsum is the
+        # sequential ascending-index sum over the row's eligible models
+        # (ineligible columns add an exact +0.0), bit for bit the seed's
+        # Python float sum — so sort order and pruning cannot drift from
+        # it by a rounding ulp (a BLAS matvec or pairwise sum can).
+        bounds = np.cumsum(candidate_eligible * utilities, axis=1)[:, -1]
         # Stable sort: ties keep combination enumeration order, exactly
         # like the seed's stable list sort.
-        order = np.argsort(-np.asarray(bounds, dtype=float), kind="stable")
+        order = np.argsort(-bounds, kind="stable")
+        bounds = bounds.tolist()
         lp_guard = None
         if self.prefix_prune and len(candidate_rows) > 1:
             lp_guard = self._prefix_guards(
@@ -368,7 +359,7 @@ class TrimCachingSpec:
 
         def run_rank(rank: int) -> Tuple[float, List[int]]:
             pos = order[rank]
-            eligible = eligible_per_row[pos]
+            eligible = nz_cols[row_offsets[pos] : row_offsets[pos + 1]]
             combo_capacity = capacity - int(
                 context.combo_sizes[candidate_rows[pos]]
             )
@@ -543,15 +534,7 @@ class TrimCachingSpec:
                 "Spec requires specific blocks to be model-exclusive "
                 "(additive DP weights); this library violates that"
             )
-        combos = enumerate_shared_combinations(
-            instance.library,
-            self.combinations,
-            self.max_combinations,
-            cache=self.reuse_library_cache,
-        )
-        context = self._context_for(instance, combos)
         placement = instance.new_placement()
-        tracker = CoverageTracker(instance, engine=self.engine)
         per_server_mass: List[float] = []
         tables: Optional[ValueDpTables] = None
         if self.knapsack_cache and self.backend == "value_dp":
@@ -563,6 +546,16 @@ class TrimCachingSpec:
             with obs.span(
                 "solve.spec", backend=self.backend, engine=self.engine
             ):
+                with obs.span("solve.spec.combinations"):
+                    combos = enumerate_shared_combinations(
+                        instance.library,
+                        self.combinations,
+                        self.max_combinations,
+                        cache=self.reuse_library_cache,
+                    )
+                with obs.span("solve.spec.context"):
+                    context = self._context_for(instance, combos)
+                tracker = CoverageTracker(instance, engine=self.engine)
                 for server in self._ordered_servers(instance):
                     utilities = tracker.server_gains(server)  # I2 applied
                     mass, selection = self.solve_subproblem(

@@ -16,6 +16,7 @@ from repro.core.dp import (
     knapsack_value_dp,
     knapsack_weight_dp,
 )
+from repro.core.reference import reference_knapsack_value_dp
 from repro.errors import SolverError
 from repro.models.blocks import ParameterBlock
 from repro.models.finetune import FineTuner, make_resnet_root
@@ -223,6 +224,115 @@ class TestValueDpTables:
         assert len(tables._tables) == 2
 
 
+class TestValueDpTablesCapacitySweeps:
+    """One table answers many capacities: the best-state search and the
+    memoised backtrack must agree with the seed DP at every one."""
+
+    VALUES = [3.0, 4.5, 5.0, 6.25, 0.75, 9.0]
+    WEIGHTS = [2, 3, 4, 5, 7, 6]
+
+    @classmethod
+    def step_capacities(cls):
+        """Every subset weight (the table's minimal-weight steps) and
+        its neighbours, plus capacities below every weight."""
+        weights = cls.WEIGHTS
+        steps = {
+            sum(weights[i] for i in subset)
+            for r in range(len(weights) + 1)
+            for subset in itertools.combinations(range(len(weights)), r)
+        }
+        capacities = {0, min(weights) - 1}
+        for step in steps:
+            capacities.update((step - 1, step, step + 1))
+        return sorted(c for c in capacities if c >= 0)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "repeated"])
+    def test_sweep_matches_reference(self, order):
+        capacities = self.step_capacities()
+        if order == "descending":
+            capacities = capacities[::-1]
+        elif order == "repeated":
+            capacities = [c for c in capacities for _ in range(3)] + capacities[::-1]
+        tables = ValueDpTables(epsilon=0.1)
+        keys = set()
+        for capacity in capacities:
+            expected = reference_knapsack_value_dp(
+                self.VALUES, self.WEIGHTS, capacity, 0.1
+            )
+            assert tables.solve(self.VALUES, self.WEIGHTS, capacity) == expected
+            assert (
+                knapsack_value_dp(self.VALUES, self.WEIGHTS, capacity, 0.1)
+                == expected
+            )
+            kept = frozenset(
+                i for i, w in enumerate(self.WEIGHTS) if w <= capacity
+            )
+            if kept:
+                keys.add(kept)
+        # Every capacity >= max(WEIGHTS) shares the one full filtered
+        # key: one fill per distinct filtered item set, no more.
+        assert tables.misses == len(keys)
+        assert tables.hits + tables.misses == sum(
+            1 for c in capacities if c >= min(self.WEIGHTS)
+        )
+
+    @given(edge_knapsack_instances, st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_shuffled_sweep_matches_reference(self, instance, rng):
+        values, weights, _ = instance
+        capacities = list(range(sum(weights) + 2)) * 2
+        rng.shuffle(capacities)
+        tables = ValueDpTables(epsilon=0.1)
+        for capacity in capacities:
+            assert tables.solve(values, weights, capacity) == (
+                reference_knapsack_value_dp(values, weights, capacity, 0.1)
+            )
+
+    def test_blown_key_raises_at_every_capacity(self):
+        values = [1e-9] + [1.0] * 10
+        weights = [1] * 11
+        tables = ValueDpTables(epsilon=0.001, max_states=100)
+        for capacity in (11, 20, 11, 15):
+            with pytest.raises(SolverError):
+                tables.solve(values, weights, capacity)
+            with pytest.raises(SolverError):
+                knapsack_value_dp(
+                    values, weights, capacity, epsilon=0.001, max_states=100
+                )
+            with pytest.raises(SolverError):
+                reference_knapsack_value_dp(
+                    values, weights, capacity, epsilon=0.001, max_states=100
+                )
+        assert (tables.hits, tables.misses) == (3, 1)
+        # Below every weight nothing survives the filter: no table at all.
+        assert tables.solve(values, weights, 0) == (0.0, [])
+        assert tables.misses == 1
+
+    def test_memo_hits_do_not_alias_returned_lists(self):
+        tables = ValueDpTables(epsilon=0.1)
+        expected = reference_knapsack_value_dp(self.VALUES, self.WEIGHTS, 12, 0.1)
+        first = tables.solve(self.VALUES, self.WEIGHTS, 12)
+        assert first == expected
+        first[1].append(99)
+        first[1][0] = -1
+        assert tables.solve(self.VALUES, self.WEIGHTS, 12) == expected
+        assert tables.hits == 1
+
+    def test_shared_filtered_key_maps_to_each_callers_indices(self):
+        """Two unfiltered inputs with the same filtered items share one
+        table and one memoised backtrack, yet each gets its own indices."""
+        tables = ValueDpTables(epsilon=0.1)
+        padded_values = [0.0] + self.VALUES + [2.0]
+        padded_weights = [1] + self.WEIGHTS + [40]
+        plain = tables.solve(self.VALUES, self.WEIGHTS, 12)
+        padded = tables.solve(padded_values, padded_weights, 12)
+        assert (tables.hits, tables.misses) == (1, 1)
+        assert padded == reference_knapsack_value_dp(
+            padded_values, padded_weights, 12, 0.1
+        )
+        assert padded[1] == [index + 1 for index in plain[1]]
+
+
 class TestValueDp:
     @given(knapsack_instances)
     @settings(max_examples=150, deadline=None)
@@ -322,6 +432,22 @@ def chain_library():
     return tuner.build()
 
 
+def two_chain_library():
+    """Two roots, each with a two-level nested prefix chain."""
+    blocks = [ParameterBlock(i, 2**i) for i in range(12)]
+    models = [
+        Model(0, (0, 4)),
+        Model(1, (0, 5)),
+        Model(2, (0, 1, 6)),
+        Model(3, (0, 1, 7)),
+        Model(4, (2, 8)),
+        Model(5, (2, 9)),
+        Model(6, (2, 3, 10)),
+        Model(7, (2, 3, 11)),
+    ]
+    return ModelLibrary(blocks, models)
+
+
 def non_nested_library():
     """Two models with partially overlapping shared sets (not a chain)."""
     blocks = [ParameterBlock(i, 10) for i in range(4)]
@@ -373,8 +499,26 @@ class TestEnumerateCombinations:
         with pytest.raises(SolverError):
             enumerate_shared_combinations(chain_library(), mode="magic")
 
-    def test_combo_sizes_correct(self):
-        library = chain_library()
-        combos = enumerate_shared_combinations(library, mode="prefix")
-        for combo in combos:
+    @pytest.mark.parametrize(
+        "make_library, mode",
+        [
+            (chain_library, "prefix"),
+            (two_chain_library, "prefix"),
+            (non_nested_library, "exhaustive"),
+        ],
+    )
+    def test_combo_sizes_correct(self, make_library, mode):
+        library = make_library()
+        combos = enumerate_shared_combinations(library, mode=mode)
+        assert len({combo.blocks for combo in combos}) == len(combos)
+        assert combos.block_ids == tuple(sorted(library.shared_block_ids))
+        assert combos.mask.shape == (len(combos), len(combos.block_ids))
+        for row, combo in enumerate(combos):
             assert combo.size_bytes == library.blocks_size(combo.blocks)
+            assert combos.sizes[row] == combo.size_bytes
+            marked = {
+                block_id
+                for block_id, on in zip(combos.block_ids, combos.mask[row])
+                if on
+            }
+            assert marked == combo.blocks

@@ -76,6 +76,55 @@ def special_instances(draw):
     return PlacementInstance(library, demand, feasible, capacities)
 
 
+# ----------------------------------------------------------------------
+# The per-combination bound identity Spec's traversal order rests on
+# ----------------------------------------------------------------------
+#: Non-negative utilities mixing exact zeros, subnormals and magnitudes
+#: from 1e-300 to 1e15 (far more than 1e12 apart), so rounding in a
+#: re-associated sum would show.
+bound_utilities = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(min_value=5e-324, max_value=2.2250738585072009e-308),
+        st.floats(min_value=1e-300, max_value=1e15),
+        st.sampled_from([1e-13, 0.1, 1.0, 3.0, 1e12, 1e15 + 1.0]),
+    ).map(abs),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestBoundIdentity:
+    @given(bound_utilities, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_masked_row_cumsum_equals_ascending_python_sum(self, values, data):
+        """The last column of a masked row cumsum is, bit for bit, the
+        Python float sum over the row's eligible entries in ascending
+        index order — the accumulation the seed used for the bounds."""
+        utilities = np.asarray(values, dtype=float)
+        rows = data.draw(st.integers(1, 6))
+        eligible = np.array(
+            data.draw(
+                st.lists(
+                    st.lists(
+                        st.booleans(),
+                        min_size=len(values),
+                        max_size=len(values),
+                    ),
+                    min_size=rows,
+                    max_size=rows,
+                )
+            ),
+            dtype=bool,
+        )
+        bounds = np.cumsum(eligible * utilities, axis=1)[:, -1]
+        for row in range(rows):
+            expected = float(
+                sum(utilities[index] for index in np.flatnonzero(eligible[row]))
+            )
+            assert float(bounds[row]).hex() == expected.hex()
+
+
 class TestConstruction:
     def test_epsilon_validation(self):
         with pytest.raises(ConfigurationError):
